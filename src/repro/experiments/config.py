@@ -186,8 +186,7 @@ class RunScale:
         the paper's trace occupancy band (~31 GB of the 512 GB device).
         Feasible in bounded memory because device state is columnar
         (~270 MB for the whole device, see ``repro.flash.state``) and
-        preload collapses into batched segments; pair with the batch
-        backend for tolerable wall-clock.
+        preload collapses into batched segments.
         """
         return cls(
             num_requests=20_000,

@@ -188,8 +188,9 @@ class Ftl:
     def apply_untimed_batch(self, lpns, times) -> None:
         """Bulk :meth:`write_untimed`: identical final state, array speed.
 
-        The batch backend's workhorse (preload / aging / background
-        batches).  Writes are applied in *segments*: a safe run is the
+        The simulator's only untimed write path (preload / aging /
+        background batches); the scalar :meth:`write_untimed` loop is its
+        test oracle.  Writes are applied in *segments*: a safe run is the
         longest prefix guaranteed to trigger no GC pass and open no
         block on any plane — each plane in the allocator rotation merely
         fills its already-open active block — so the whole prefix

@@ -134,8 +134,12 @@ class FlashTranslation(Protocol):
         """Apply one host page write; returns the implied physical work."""
         ...
 
-    def write_untimed(self, lpn: int, pseudo_now_us: float) -> None:
-        """Preconditioning write: full logical effect, no timed ops."""
+    def apply_untimed_batch(self, lpns, times) -> None:
+        """Untimed writes (preload, aging, background batches) in order.
+
+        Full logical effect, no timed ops.  ``times`` is a scalar or one
+        ``pseudo_now_us`` per write.
+        """
         ...
 
     def check_refresh(self, now_us: float) -> list[PhysOp]:

@@ -4,20 +4,14 @@ A minimal event loop in the DiskSim tradition: a time-ordered heap of
 callbacks, with a monotone sequence number breaking ties so runs are fully
 deterministic regardless of callback scheduling order.
 
-Two batched fast paths support the vectorized execution backend while
-preserving the (time, sequence) total order byte-for-byte:
-
-* :meth:`SimEngine.add_stream` admits a *sorted* run of events without
-  pushing them through the heap.  The stream reserves its sequence
-  numbers up front — exactly the numbers the equivalent ``at()`` calls
-  would have consumed — and the run loop merges stream head vs heap top
-  by ``(time, seq)``, so event order is identical to the reference
-  admission by construction while the heap stays small.
-* :meth:`SimEngine.run_until_idle` drains the queue with per-event
-  ``peak_pending`` bookkeeping switched off.  ``processed`` stays exact
-  (each fired event counts as one); only the high-water mark — which is
-  reported solely through the trace ``run_end`` event — goes untracked,
-  so callers must keep tracking on whenever a tracer is attached.
+Open-loop request schedules are admitted in bulk:
+:meth:`SimEngine.add_stream` takes a *sorted* run of events without
+pushing them through the heap.  The stream reserves its sequence numbers
+up front — exactly the numbers the equivalent ``at()`` calls would have
+consumed — and the run loop merges stream head vs heap top by
+``(time, seq)``, so event order is identical to per-event admission by
+construction while the heap stays small.  ``peak_pending`` counts heap
+plus unfired stream events, so it too matches per-event admission.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ class SimEngine:
         self._sequence = 0
         self._processed = 0
         self._peak_pending = 0
-        self._track_peak = True
         self._prev_now = 0.0
         self._stream: list[tuple[float, int, Callable[[], None]]] = []
         self._stream_pos = 0
@@ -65,11 +58,10 @@ class SimEngine:
 
     @property
     def peak_pending(self) -> int:
-        """High-water mark of the event queue (for run reports).
+        """High-water mark of :attr:`pending` (for run reports).
 
-        Meaningful only while per-event tracking is on (the default);
-        :meth:`run_until_idle` with ``track_peak=False`` and
-        :meth:`add_stream` trade this statistic for speed.
+        Sampled whenever events are admitted, so streamed and per-event
+        admission of the same schedule report the same mark.
         """
         return self._peak_pending
 
@@ -103,10 +95,12 @@ class SimEngine:
                 raise ValueError(
                     f"cannot schedule at {time} (now is {self.now})"
                 )
-        heapq.heappush(self._queue, (time, self._sequence, callback))
+        queue = self._queue
+        heapq.heappush(queue, (time, self._sequence, callback))
         self._sequence += 1
-        if self._track_peak and len(self._queue) > self._peak_pending:
-            self._peak_pending = len(self._queue)
+        pending = len(queue) + len(self._stream) - self._stream_pos
+        if pending > self._peak_pending:
+            self._peak_pending = pending
 
     def after(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` after ``delay`` microseconds."""
@@ -124,9 +118,6 @@ class SimEngine:
         have consumed, so the merged firing order is byte-identical —
         but the events never touch the heap: the run loop merges the
         stream head against the heap top by ``(time, seq)``.
-
-        The high-water ``peak_pending`` statistic does not see stream
-        events; callers needing it (tracing) must admit via :meth:`at`.
 
         Args:
             events: ``(time, callback)`` pairs in non-decreasing time
@@ -156,6 +147,7 @@ class SimEngine:
         self._sequence = sequence
         self._stream = stream
         self._stream_pos = 0
+        self._peak_pending = max(self._peak_pending, self.pending)
         return len(stream)
 
     def run(self, until: float | None = None) -> None:
@@ -197,50 +189,35 @@ class SimEngine:
             self.now = until
 
     def _run_merged(self, until: float | None) -> None:
-        """Drain heap and admitted stream in (time, seq) order."""
+        """Drain heap and admitted stream in (time, seq) order.
+
+        ``_stream_pos`` is stored before every callback so events the
+        callback admits see the exact :attr:`pending` count.
+        """
         queue = self._queue
         heappop = heapq.heappop
         stream = self._stream
         pos = self._stream_pos
         end = len(stream)
-        try:
-            while pos < end:
-                head = stream[pos]
-                if queue and queue[0] < head:
-                    time, _, callback = queue[0]
-                    if until is not None and time > until:
-                        break
-                    heappop(queue)
-                else:
-                    time, _, callback = head
-                    if until is not None and time > until:
-                        break
-                    pos += 1
-                self._prev_now = self.now
-                self.now = time
-                self._processed += 1
-                callback()
-        finally:
-            self._stream_pos = pos
+        while pos < end:
+            head = stream[pos]
+            if queue and queue[0] < head:
+                time, _, callback = queue[0]
+                if until is not None and time > until:
+                    break
+                heappop(queue)
+            else:
+                time, _, callback = head
+                if until is not None and time > until:
+                    break
+                pos += 1
+                self._stream_pos = pos
+            self._prev_now = self.now
+            self.now = time
+            self._processed += 1
+            callback()
         if until is not None and pos < end and until > self.now:
             self.now = until
-
-    def run_until_idle(self, track_peak: bool = True) -> None:
-        """Drain everything; optionally skip peak-queue bookkeeping.
-
-        ``track_peak=False`` removes the per-push high-water-mark update
-        from :meth:`at` for the duration of the drain — the fast path
-        for untraced runs, where ``peak_pending`` is never reported.
-        Event and processed counts stay exact either way.
-        """
-        if track_peak:
-            self.run()
-            return
-        self._track_peak = False
-        try:
-            self.run()
-        finally:
-            self._track_peak = True
 
     def step(self) -> bool:
         """Fire exactly one event; returns False when the queue is empty."""

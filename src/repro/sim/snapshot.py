@@ -362,7 +362,7 @@ class SnapshotStore:
         """Cache ``warm`` under ``key`` (and spill it, when configured).
 
         Spill failures (full disk, permissions) are logged and swallowed:
-        the cache is an accelerator, never a correctness dependency.
+        the cache is a speed-up, never a correctness dependency.
         """
         self._insert(key, warm)
         self.stats.stores += 1

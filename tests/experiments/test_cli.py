@@ -154,6 +154,13 @@ class TestRunSubcommand:
         assert manifest["kind"] == "run_manifest"
         assert manifest["config"]["system"]["name"] == "baseline"
         assert "time_series" in manifest
+        assert manifest["execution"] == {"jobs": 1}
+
+    def test_run_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scale", "tiny", "--backend", "batch"])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
     def test_run_rejects_unknown_system(self):
         with pytest.raises(SystemExit):

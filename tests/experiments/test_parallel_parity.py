@@ -129,3 +129,18 @@ def test_fault_injection_parity_across_job_counts() -> None:
     assert any(
         sum(payload.faults["fired"].values()) > 0 for payload in inline
     )
+
+
+def test_policy_grid_parity_inline_vs_four_workers() -> None:
+    """A (trace x policy) unit grid reports identical payload summaries
+    inline and on a 4-worker pool."""
+    units = [
+        RunUnit(ida(0.2).with_policy(policy), trace, RunScale.tiny(), seed=SEED)
+        for trace in ("hm_1", "usr_1")
+        for policy in ("read-first", "fcfs")
+    ]
+    inline = execute_units(units, jobs=1)
+    pooled = execute_units(units, jobs=4)
+    assert [
+        json.dumps(p.metrics_summary(), sort_keys=True) for p in pooled
+    ] == [json.dumps(p.metrics_summary(), sort_keys=True) for p in inline]

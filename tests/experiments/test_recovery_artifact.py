@@ -34,7 +34,7 @@ def _cut_plan(ordinal: int, name: str = "cut") -> FaultPlan:
     )
 
 
-def _recover_unit(ordinal: int, backend: str = "reference") -> RunUnit:
+def _recover_unit(ordinal: int) -> RunUnit:
     return RunUnit(
         SYSTEM,
         "proj_1",
@@ -42,7 +42,6 @@ def _recover_unit(ordinal: int, backend: str = "reference") -> RunUnit:
         seed=11,
         mode="recover",
         faults=_cut_plan(ordinal),
-        backend=backend,
     )
 
 
@@ -152,30 +151,35 @@ class TestRunRecoverySweep:
     def result(self) -> RecoveryResult:
         return run_recovery(
             scale=SCALE,
-            workload_names=["proj_1"],
-            cuts=8,
-            backends=("reference", "batch"),
+            workload_names=["proj_1", "usr_1", "src2_0"],
+            cuts=7,
             seed=11,
         )
 
     def test_every_cut_is_clean(self, result):
-        assert result.total == 8
-        assert result.clean == 8
+        assert result.total == 7
+        assert result.clean == 7
         assert result.all_ok
         assert result.violations() == []
 
-    def test_both_backends_were_cut(self, result):
-        assert {c.backend for c in result.cells} == {"reference", "batch"}
+    def test_uneven_budget_remainder_is_spread(self, result):
+        # 7 cuts over 3 workloads: the remainder goes to the first
+        # workloads instead of being dropped.
+        per_workload = [
+            sum(1 for c in result.cells if c.workload == name)
+            for name in ("proj_1", "usr_1", "src2_0")
+        ]
+        assert per_workload == [3, 2, 2]
 
     def test_formatting_and_json_round_trip(self, result):
         text = format_recovery(result)
-        assert "proj_1" in text and "reference" in text
+        assert "proj_1" in text and "total" in text
         data = json.loads(json.dumps(recovery_to_json(result)))
         assert data["kind"] == "recovery_artifact"
-        assert data["total_cuts"] == 8
-        assert data["clean_cuts"] == 8
+        assert data["total_cuts"] == 7
+        assert data["clean_cuts"] == 7
         assert data["all_ok"] is True
-        assert len(data["cells"]) == 8
+        assert len(data["cells"]) == 7
 
 
 class TestProbeCensus:

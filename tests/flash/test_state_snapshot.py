@@ -131,7 +131,7 @@ class TestViewCoherence:
         assert state.valid_count[1] == 42
 
     def test_pre_restore_view_references_see_restored_data(self):
-        # The batch backend caches ``state.<col>_np`` arrays; since
+        # Array consumers hold ``state.<col>_np`` references; since
         # restore writes into the same buffers, even a stale reference
         # observes the restored bytes.
         state = _make_state()

@@ -1,14 +1,16 @@
-"""Stream admission and idle-drain fast paths of the event engine.
+"""Stream admission of the event engine.
 
-``add_stream`` is the batch backend's admission path: a time-sorted run
-of events that bypasses the heap but reserves the exact sequence numbers
-per-event ``at()`` calls would have consumed, so the merged firing order
-is byte-identical.  These tests pin that equivalence and the error
-contract, plus the ``run_until_idle(track_peak=False)`` bookkeeping
-trade-off.
+``add_stream`` is how open-loop request schedules enter the engine: a
+time-sorted run of events that bypasses the heap but reserves the exact
+sequence numbers per-event ``at()`` calls would have consumed, so the
+merged firing order is byte-identical.  ``peak_pending`` counts heap
+plus unfired stream events, so it matches per-event admission too.
+These tests pin both equivalences and the error contract.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -48,11 +50,11 @@ class TestStreamOrdering:
         assert log == ["s1", "heap-before", "s2", "heap-after"]
 
     def test_stream_matches_at_admission_byte_for_byte(self):
-        """The equivalence the batch backend relies on: same callbacks,
-        same times → identical firing order under either admission."""
+        """Same callbacks, same times → identical firing order and
+        identical ``peak_pending`` under either admission."""
         times = [0.0, 0.5, 0.5, 1.5, 1.5, 1.5, 3.0]
 
-        def run(use_stream: bool) -> list[int]:
+        def run(use_stream: bool) -> tuple[list[int], int]:
             engine = SimEngine()
             log: list[int] = []
             # A callback that schedules follow-up work, like dispatches do.
@@ -71,7 +73,47 @@ class TestStreamOrdering:
                 for t, cb in events:
                     engine.at(t, cb)
             engine.run()
-            return log
+            return log, engine.peak_pending
+
+        assert run(use_stream=True) == run(use_stream=False)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_schedules_match_at_admission_with_follow_ups(self, seed):
+        """Random sorted schedules whose callbacks push follow-up chains
+        (and heap events admitted before the stream) fire in the same
+        order and reach the same ``peak_pending`` either way."""
+        rng = random.Random(seed)
+        arrivals = sorted(
+            round(rng.uniform(0.0, 50.0), 1) for _ in range(rng.randint(1, 60))
+        )
+        follow_ups = [
+            [round(rng.uniform(0.0, 20.0), 1) for _ in range(rng.randint(0, 4))]
+            for _ in arrivals
+        ]
+        early = [round(rng.uniform(0.0, 50.0), 1) for _ in range(rng.randint(0, 5))]
+
+        def run(use_stream: bool) -> tuple[list, int, int]:
+            engine = SimEngine()
+            log: list = []
+
+            def make(i: int):
+                def callback() -> None:
+                    log.append((engine.now, i))
+                    for k, delay in enumerate(follow_ups[i]):
+                        engine.after(delay, _record(log, (i, k)))
+
+                return callback
+
+            for j, t in enumerate(early):
+                engine.at(t, _record(log, ("early", j)))
+            events = [(t, make(i)) for i, t in enumerate(arrivals)]
+            if use_stream:
+                engine.add_stream(events)
+            else:
+                for t, cb in events:
+                    engine.at(t, cb)
+            engine.run()
+            return log, engine.peak_pending, engine.processed
 
         assert run(use_stream=True) == run(use_stream=False)
 
@@ -119,29 +161,28 @@ class TestStreamErrors:
         assert log == ["first", "second"]
 
 
-class TestRunUntilIdle:
-    def test_counts_stay_exact_without_peak_tracking(self):
+class TestPeakPending:
+    def test_stream_events_count_toward_peak(self):
         engine = SimEngine()
-        for i in range(5):
-            engine.at(float(i), lambda: None)
-        engine.run_until_idle(track_peak=False)
-        assert engine.processed == 5
-        assert engine.pending == 0
-
-    def test_peak_tracking_restored_after_fast_drain(self):
-        engine = SimEngine()
-        engine.at(1.0, lambda: None)
-        engine.run_until_idle(track_peak=False)
-        # Pushes after the drain must update the high-water mark again.
-        before = engine.peak_pending
-        engine.at(2.0, lambda: None)
-        engine.at(3.0, lambda: None)
-        assert engine.peak_pending >= max(before, 2)
-
-    def test_stream_events_bypass_peak_statistic(self):
-        engine = SimEngine()
+        engine.at(0.5, lambda: None)
         engine.add_stream([(float(i), lambda: None) for i in range(10)])
-        assert engine.pending == 10
-        engine.run_until_idle(track_peak=False)
-        assert engine.peak_pending == 0
-        assert engine.processed == 10
+        assert engine.pending == 11
+        assert engine.peak_pending == 11
+        engine.run()
+        assert engine.peak_pending == 11
+        assert engine.processed == 11
+
+    def test_pushes_mid_stream_see_the_unfired_remainder(self):
+        engine = SimEngine()
+
+        def burst() -> None:
+            # 2 stream events are still unfired when these land.
+            for _ in range(3):
+                engine.after(100.0, lambda: None)
+
+        engine.add_stream(
+            [(0.0, lambda: None), (1.0, burst), (2.0, lambda: None),
+             (3.0, lambda: None)]
+        )
+        engine.run()
+        assert engine.peak_pending == 5
