@@ -97,12 +97,17 @@ def time_runs(scale: RunScale, policy: str, reps: int) -> tuple[list[float], int
 
 
 def _git_rev() -> str | None:
-    """Current short revision, or None outside a git checkout."""
+    """Current short revision, or None outside a git checkout.
+
+    A working tree with uncommitted changes is marked ``<rev>-dirty``:
+    its numbers belong to that revision plus the changes, not to the
+    revision itself.
+    """
     import subprocess
 
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
             capture_output=True, text=True, timeout=5, check=True,
         ).stdout.strip() or None
     except (OSError, subprocess.SubprocessError):

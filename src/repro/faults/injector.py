@@ -23,6 +23,8 @@ import cycles.
 
 from __future__ import annotations
 
+import weakref
+
 from .plan import OP_KIND_OF, TIMED_KINDS, FaultEvent, FaultKind, FaultPlan
 
 __all__ = ["FaultInjector", "FaultedOp", "PowerCutError"]
@@ -114,8 +116,13 @@ class FaultInjector:
     # Binding
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:
-        """Attach to a simulator: arm FTL recovery, schedule timed events."""
-        self.sim = sim
+        """Attach to a simulator: arm FTL recovery, schedule timed events.
+
+        The simulator owns the injector (``sim.faults``), so the
+        injector refers back through a weak proxy: no reference cycle,
+        and a finished simulator is freed by reference counting.
+        """
+        self.sim = weakref.proxy(sim)
         sim.ftl.enable_fault_recovery(self.plan.read_reclaim_threshold)
         for event in self.plan.events:
             if event.kind in TIMED_KINDS:

@@ -24,6 +24,7 @@ breach events); both are themselves optional.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +153,12 @@ class HealthMonitor:
     # Simulator wiring
     # ------------------------------------------------------------------
     def bind(self, sim) -> None:
-        """Attach to a simulator (called by ``SsdSimulator.__init__``)."""
-        self._sim = sim
+        """Attach to a simulator (called by ``SsdSimulator.__init__``).
+
+        The simulator owns the monitor (``sim.health``), so the monitor
+        holds it weakly: no reference cycle through the simulator.
+        """
+        self._sim = weakref.ref(sim)
         self._last = {}
         if self.slo is not None:
             self.slo.bind_tracer(sim.tracer)
@@ -195,9 +200,9 @@ class HealthMonitor:
     # ------------------------------------------------------------------
     def sample(self, start_us: float, end_us: float, read_hist=None) -> HealthSnapshot:
         """Close one health interval; passive, never touches sim state."""
-        if self._sim is None:
+        sim = self._sim() if self._sim is not None else None
+        if sim is None:
             raise RuntimeError("health monitor not bound to a simulator")
-        sim = self._sim
         ftl = sim.ftl
         table = ftl.table
         counters = ftl.counters

@@ -102,10 +102,12 @@ class ProfiledOp:
         Ops append in *completion* order, mirroring
         :class:`RequestSpan.add_page`: when the request completes, the
         last appended op is the critical-path op whose stages tile the
-        dispatch -> completion window exactly.
+        dispatch -> completion window exactly.  The op lets go of the
+        request as it joins it, so the two never form a reference cycle.
         """
-        if self.ctx is not None:
-            self.ctx.ops.append(self)
+        ctx, self.ctx = self.ctx, None
+        if ctx is not None:
+            ctx.ops.append(self)
 
 
 class ProfiledRequest:

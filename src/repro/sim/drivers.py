@@ -23,6 +23,7 @@ simulator surgery.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING
 
 from .metrics import SimMetrics
@@ -32,6 +33,72 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .ssd import SsdSimulator
 
 __all__ = ["run_open_loop", "run_closed_loop"]
+
+
+class _RefreshDaemon:
+    """Scans for refresh work on the FTL's cadence.
+
+    It reschedules its own bound :meth:`tick` without storing it, so the
+    daemon is freed by reference counting after its last tick fires.
+    """
+
+    __slots__ = ("sim", "interval_us", "until_us", "stopped")
+
+    def __init__(self, sim: "SsdSimulator", until_us: float = float("inf")) -> None:
+        self.sim = sim
+        self.interval_us = sim.ftl.scan_interval_us
+        #: Last time a tick may fire (the open loop's trace end).
+        self.until_us = until_us
+        #: Set by the closed loop once every request has completed.
+        self.stopped = False
+
+    def tick(self) -> None:
+        sim = self.sim
+        sim.issue_internal_sequence(sim.ftl.check_refresh(sim.engine.now))
+        if not self.stopped and sim.engine.now + self.interval_us <= self.until_us:
+            sim.engine.after(self.interval_us, self.tick)
+
+
+class _ClosedLoop:
+    """Keeps a fixed number of requests outstanding until the stream ends.
+
+    The loop is reachable only through the bound methods it hands out
+    (pending engine events, in-flight requests' completion callbacks), so
+    it is freed by reference counting once the run drains.
+    """
+
+    __slots__ = ("sim", "pending", "total", "completed", "daemon")
+
+    def __init__(self, sim: "SsdSimulator", requests: list[HostRequest]) -> None:
+        self.sim = sim
+        self.pending = deque(requests)
+        self.total = len(requests)
+        self.completed = 0
+        self.daemon: _RefreshDaemon | None = None
+
+    def issue_next(self) -> None:
+        if not self.pending:
+            return
+        request = self.pending.popleft()
+        sim = self.sim
+        rebased = HostRequest(
+            request_id=request.request_id,
+            arrival_us=sim.engine.now,
+            is_read=request.is_read,
+            lpns=request.lpns,
+            size_bytes=request.size_bytes,
+        )
+        if rebased.is_read:
+            sim.dispatch_read(rebased, on_request_done=self.on_done)
+        else:
+            sim.dispatch_write(rebased, on_request_done=self.on_done)
+
+    def on_done(self) -> None:
+        self.completed += 1
+        if self.completed >= self.total:
+            self.daemon.stopped = True
+            return
+        self.issue_next()
 
 
 def _begin_run(sim: "SsdSimulator", mode: str, n_requests: int) -> None:
@@ -123,15 +190,9 @@ def run_open_loop(
 
     # Refresh daemon: scan on the FTL's cadence until the trace ends.
     trace_end = ordered[-1].arrival_us
-    interval = sim.ftl.scan_interval_us
-
-    def tick() -> None:
-        sim.issue_internal_sequence(sim.ftl.check_refresh(sim.engine.now))
-        if sim.engine.now + interval <= trace_end:
-            sim.engine.after(interval, tick)
-
-    if interval <= trace_end:
-        sim.engine.after(interval, tick)
+    daemon = _RefreshDaemon(sim, until_us=trace_end)
+    if daemon.interval_us <= trace_end:
+        sim.engine.after(daemon.interval_us, daemon.tick)
 
     _begin_run(sim, "open_loop", len(ordered))
     sim.engine.run()
@@ -157,50 +218,16 @@ def run_closed_loop(
         raise ValueError("empty request stream")
     if queue_depth < 1:
         raise ValueError("queue_depth must be >= 1")
-    pending = list(requests)
-    total = len(pending)
-    completed = 0
-    done_event: list[bool] = [False]
-
-    def issue_next() -> None:
-        if not pending:
-            return
-        request = pending.pop(0)
-        rebased = HostRequest(
-            request_id=request.request_id,
-            arrival_us=sim.engine.now,
-            is_read=request.is_read,
-            lpns=request.lpns,
-            size_bytes=request.size_bytes,
-        )
-        if rebased.is_read:
-            sim.dispatch_read(rebased, on_request_done=on_done)
-        else:
-            sim.dispatch_write(rebased, on_request_done=on_done)
-
-    def on_done() -> None:
-        nonlocal completed
-        completed += 1
-        if completed >= total:
-            done_event[0] = True
-            return
-        issue_next()
-
-    for _ in range(min(queue_depth, total)):
-        sim.engine.after(0.0, issue_next)
+    loop = _ClosedLoop(sim, requests)
+    for _ in range(min(queue_depth, loop.total)):
+        sim.engine.after(0.0, loop.issue_next)
     _schedule_background(sim, background_updates)
 
     # No refresh daemon deadline in closed-loop mode: scan on a fixed
     # cadence until the stream completes, then let the queues drain.
-    interval = sim.ftl.scan_interval_us
-
-    def refresh_tick() -> None:
-        sim.issue_internal_sequence(sim.ftl.check_refresh(sim.engine.now))
-        if not done_event[0]:
-            sim.engine.after(interval, refresh_tick)
-
-    sim.engine.after(interval, refresh_tick)
-    _begin_run(sim, "closed_loop", total)
+    loop.daemon = daemon = _RefreshDaemon(sim)
+    sim.engine.after(daemon.interval_us, daemon.tick)
+    _begin_run(sim, "closed_loop", loop.total)
     sim.engine.run()
     sim.metrics.start_us = 0.0
     sim.metrics.end_us = sim.engine.now

@@ -12,18 +12,23 @@ Every physical flash operation moves through a fixed sequence of
 * **erase**: ``erase`` (die).
 
 A :class:`Stage` is a declarative ``(resource, duration, name)`` step;
-:class:`OpPipeline` walks a tuple of stages, submitting each to its
-resource (or, for resource-free stages such as the deeply-pipelined
-hardware ECC decoder, scheduling a pure delay) and advancing on
-completion.  Observation attaches *generically* at stage boundaries:
+:class:`OpPipeline` walks a tuple of stages and advances on completion.
+For a resource stage the pipeline submits *itself* to the resource (it
+implements :class:`~repro.sim.resources.QueuedOp`) and the resource
+calls :meth:`OpPipeline.resource_done` when service ends.  A
+resource-free stage, such as the deeply pipelined hardware ECC decoder,
+schedules the pipeline's bound ``_latency_done`` as a pure delay.
+Observation attaches *generically* at stage boundaries:
 when a :class:`PageRecord` is supplied the pipeline notes queue wait and
 service time per stage — one code path serves traced and untraced runs,
 the untraced case paying only a ``record is None`` check per boundary.
 
-The stage machine replaces the per-op closure webs the simulator grew in
-its first iteration: one pipeline object (``__slots__``, bound-method
-callbacks) instead of two-to-three closures per op, with identical event
-scheduling — golden-parity tests pin the refactor to the float.
+A stage hop allocates no per-stage object and no closure: the one
+slotted pipeline object per op is the queue entry, and every callback is
+a bound method.  A pipeline is referenced only by the resource queue
+or engine event holding its current stage, so a finished op, and a
+finished simulator, is freed by reference counting.
+Golden-parity tests pin the event order to the float.
 """
 
 from __future__ import annotations
@@ -109,61 +114,35 @@ def erase_stages(die: Resource, timing: TimingSpec) -> tuple[Stage, ...]:
 
 
 class StagePlanner:
-    """Caches the immutable stage tuples ops of one device share.
+    """The immutable stage tuples of one die's ops, built once.
 
-    Stage tuples depend only on (die, op shape): every read with the
-    same sense count and retry passes on the same die walks the same
-    stages, and writes / adjusts / erases are fully fixed per die.
-    Caching the tuples keeps the per-op allocation cost of the stage
-    machine below the old per-op closure webs'.
+    Stage tuples depend only on (die, op shape): writes, adjusts and
+    erases are fully fixed per die and sit in plain attributes; every
+    read with the same sense count and retry passes walks the same
+    stages, cached on first use.  The simulator keeps one planner per
+    die and indexes them by plane, so routing an op is one list lookup
+    and one attribute (or dict) read.
+
+    Attributes:
+        write / adjust / erase: The fixed stage tuples.
     """
 
-    __slots__ = ("timing", "_read_cache", "_fixed_cache")
+    __slots__ = ("die", "channel", "timing", "write", "adjust", "erase", "_reads")
 
-    def __init__(self, timing: TimingSpec) -> None:
+    def __init__(self, die: Resource, channel: Resource, timing: TimingSpec) -> None:
+        self.die = die
+        self.channel = channel
         self.timing = timing
-        self._read_cache: dict[tuple[int, int, int], tuple[Stage, ...]] = {}
-        self._fixed_cache: dict[tuple[int, str], tuple[Stage, ...]] = {}
+        self.write = write_stages(die, channel, timing)
+        self.adjust = adjust_stages(die, timing)
+        self.erase = erase_stages(die, timing)
+        self._reads: dict[tuple[int, int], tuple[Stage, ...]] = {}
 
-    def read(
-        self,
-        die_index: int,
-        die: Resource,
-        channel: Resource,
-        senses: int,
-        passes: int,
-    ) -> tuple[Stage, ...]:
-        key = (die_index, senses, passes)
-        stages = self._read_cache.get(key)
+    def read(self, senses: int, passes: int) -> tuple[Stage, ...]:
+        stages = self._reads.get((senses, passes))
         if stages is None:
-            stages = read_stages(die, channel, self.timing, senses, passes)
-            self._read_cache[key] = stages
-        return stages
-
-    def write(
-        self, die_index: int, die: Resource, channel: Resource
-    ) -> tuple[Stage, ...]:
-        key = (die_index, "write")
-        stages = self._fixed_cache.get(key)
-        if stages is None:
-            stages = write_stages(die, channel, self.timing)
-            self._fixed_cache[key] = stages
-        return stages
-
-    def adjust(self, die_index: int, die: Resource) -> tuple[Stage, ...]:
-        key = (die_index, "adjust")
-        stages = self._fixed_cache.get(key)
-        if stages is None:
-            stages = adjust_stages(die, self.timing)
-            self._fixed_cache[key] = stages
-        return stages
-
-    def erase(self, die_index: int, die: Resource) -> tuple[Stage, ...]:
-        key = (die_index, "erase")
-        stages = self._fixed_cache.get(key)
-        if stages is None:
-            stages = erase_stages(die, self.timing)
-            self._fixed_cache[key] = stages
+            stages = read_stages(self.die, self.channel, self.timing, senses, passes)
+            self._reads[(senses, passes)] = stages
         return stages
 
 
@@ -276,7 +255,14 @@ class RequestSpan:
 
 
 class OpPipeline:
-    """Walks one op through its stages on the event engine.
+    """Walks one op through its stages; is itself the queued resource entry.
+
+    The pipeline implements :class:`~repro.sim.resources.QueuedOp`: each
+    resource stage submits the pipeline object itself, with ``duration``
+    set to the stage's service time, and the resource calls
+    :meth:`resource_done` when service ends.  A latency-only stage
+    schedules the bound :meth:`_latency_done` instead.  Neither path
+    allocates a per-stage object or closure.
 
     Args:
         engine: The simulation clock.
@@ -312,8 +298,10 @@ class OpPipeline:
         "record",
         "profile",
         "fault",
+        "duration",
+        "enqueued_us",
+        "snapshot",
         "_index",
-        "_submit_us",
         "_last_start_us",
     )
 
@@ -340,41 +328,46 @@ class OpPipeline:
         self.record = record
         self.profile = profile
         self.fault = fault
+        self.duration = 0.0
+        self.enqueued_us = 0.0
+        self.snapshot = None
         self._index = 0
-        self._submit_us = 0.0
         self._last_start_us = 0.0
 
     def start(self) -> None:
         """Submit the first stage; the rest chain on completions."""
-        self._dispatch()
+        self._dispatch(self.stages[0])
 
-    def _dispatch(self) -> None:
-        stage = self.stages[self._index]
-        self._submit_us = self.engine.now
+    def _dispatch(self, stage: Stage) -> None:
+        self.duration = stage.duration_us
         if stage.resource is not None:
-            stage.resource.submit(
-                self.klass, stage.duration_us, self._stage_done, queue=self.queue
-            )
+            stage.resource.submit(self, self.queue)
         else:
-            start = self.engine.now
-            end = start + stage.duration_us
-            self.engine.at(end, lambda: self._stage_done(start, end))
+            now = self.enqueued_us = self.engine.now
+            self.engine.at(now + stage.duration_us, self._latency_done)
 
-    def _stage_done(self, start_us: float, end_us: float) -> None:
-        stage = self.stages[self._index]
+    def _latency_done(self) -> None:
+        self.resource_done(self.enqueued_us, self.engine.now)
+
+    def resource_done(self, start_us: float, end_us: float) -> None:
+        """Stage finished: note the boundary, then advance or complete."""
+        stages = self.stages
+        index = self._index
+        stage = stages[index]
         if self.record is not None:
             self.record.note_stage(
-                stage.name, start_us - self._submit_us, start_us, end_us
+                stage.name, start_us - self.enqueued_us, start_us, end_us
             )
         if self.profile is not None:
-            self.profile.note_stage(stage, self._submit_us, start_us, end_us)
+            self.profile.note_stage(stage, self.enqueued_us, start_us, end_us)
         if self.fault is not None:
-            self.fault.note_stage(stage, self._submit_us, start_us, end_us)
+            self.fault.note_stage(stage, self.enqueued_us, start_us, end_us)
         if stage.resource is not None:
             self._last_start_us = start_us
-        self._index += 1
-        if self._index < len(self.stages):
-            self._dispatch()
+        index += 1
+        if index < len(stages):
+            self._index = index
+            self._dispatch(stages[index])
             return
         if self.record is not None and self.span is not None:
             self.span.add_page(self.record)

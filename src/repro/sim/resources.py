@@ -14,14 +14,14 @@ times, the queueing effect behind the paper's "indirect" improvement
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable
+from typing import Protocol
 
 from .engine import SimEngine
 
 __all__ = [
     "IoPriority",
+    "QueuedOp",
     "Resource",
     "mean_utilisation",
     "aggregate_queue_waits",
@@ -37,16 +37,30 @@ class IoPriority(IntEnum):
     INTERNAL = 2
 
 
-@dataclass(slots=True)
-class _PendingOp:
-    duration: float
-    on_done: Callable[[float, float], None]
-    enqueued_us: float
+class QueuedOp(Protocol):
+    """What a resource queues and serves: one stage of one physical op.
+
+    :class:`~repro.sim.pipeline.OpPipeline` is the only implementation
+    the simulator uses — the pipeline object *is* the queue entry, so a
+    stage hop allocates nothing.  The resource owns ``enqueued_us`` and
+    ``snapshot`` (it stamps them in :meth:`Resource.submit`); the op
+    owns the rest.
+    """
+
+    #: Dispatch class, for queue-wait accounting.
     klass: IoPriority
-    # Wait-class profiling snapshot, filled only when the owning
-    # resource's profiling is enabled: (per-class busy integral at
-    # enqueue, (class, end_us) of the op then in service or None).
-    snapshot: tuple | None = None
+    #: Service time of this stage in microseconds.
+    duration: float
+    #: Clock at submission.
+    enqueued_us: float
+    #: Wait-class profiling snapshot, set only by resources with
+    #: profiling enabled and cleared again when service starts: (per-
+    #: class busy integral at enqueue, (class, end_us) of the op then in
+    #: service or ``None``).
+    snapshot: tuple | None
+
+    def resource_done(self, start_us: float, end_us: float) -> None:
+        """Service finished; the resource is already free."""
 
 
 class Resource:
@@ -54,6 +68,8 @@ class Resource:
 
     Operations are served one at a time; when the resource frees up, the
     oldest operation of the highest non-empty priority class starts.
+    Everything it queues and serves is a :class:`QueuedOp`, entering
+    through :meth:`submit` exactly once per stage.
 
     Attributes:
         engine: The simulation engine supplying the clock.
@@ -80,10 +96,18 @@ class Resource:
         #: Service time per dispatch class — the busy integral the
         #: wait-class attribution differences (one float add per start).
         self.busy_us_by_class = [0.0] * len(IoPriority)
-        self._busy = False
-        self._queues: tuple[deque[_PendingOp], ...] = tuple(
+        # The op in service and its start time.  Only this reference and
+        # the bound ``_finish`` in the engine heap keep a served op alive;
+        # the resource holds no callable of its own, so nothing here
+        # forms a reference cycle.
+        self._serving: QueuedOp | None = None
+        self._serving_start = 0.0
+        self._queues: tuple[deque[QueuedOp], ...] = tuple(
             deque() for _ in IoPriority
         )
+        #: Ops sitting in ``_queues``; zero means an idle resource can
+        #: start a submission directly.
+        self._waiting = 0
         # Queue-wait accounting per dispatch class: how long ops of each
         # priority sat queued before service.  Always on (two float ops
         # per dispatch) — it is what separates "the die was slow" from
@@ -109,12 +133,12 @@ class Resource:
 
     @property
     def is_busy(self) -> bool:
-        return self._busy
+        return self._serving is not None
 
     @property
     def queued(self) -> int:
         """Operations waiting (not counting the one in service)."""
-        return sum(len(q) for q in self._queues)
+        return self._waiting
 
     def queued_by_class(self) -> dict[str, int]:
         """Waiting ops per dispatch class (telemetry sampling only).
@@ -130,48 +154,51 @@ class Resource:
                 depths[op.klass.name.lower()] += 1
         return depths
 
-    def submit(
-        self,
-        priority: IoPriority,
-        duration: float,
-        on_done: Callable[[float, float], None],
-        queue: IoPriority | None = None,
-    ) -> None:
-        """Enqueue an operation.
+    def submit(self, op: QueuedOp, queue: IoPriority | None = None) -> None:
+        """Enqueue one stage of an op; ``op.resource_done`` fires at its end.
 
         Args:
-            priority: Dispatch class (drives queue-wait accounting).
-            duration: Service time in microseconds.
-            on_done: Called as ``on_done(start_us, end_us)`` when the
-                operation completes.
-            queue: Queue class to wait in; defaults to ``priority``.  A
+            op: The queued op; its ``duration`` (microseconds) and
+                ``klass`` (dispatch class, which drives queue-wait
+                accounting) describe this stage.
+            queue: Queue class to wait in; defaults to ``op.klass``.  A
                 scheduling policy may map several dispatch classes onto
                 one queue (e.g. FCFS collapses all three) — accounting
                 stays per dispatch class either way.
         """
-        if duration < 0:
+        if op.duration < 0:
             raise ValueError("duration must be non-negative")
-        # Always enqueue, then dispatch: a submission arriving while the
-        # resource is momentarily idle (e.g. from a completion callback
-        # that chains background work) must not jump ahead of
-        # higher-priority operations already waiting.
-        op = _PendingOp(duration, on_done, self.engine.now, priority)
+        op.enqueued_us = self.engine.now
         if self.profile_waits:
             op.snapshot = (tuple(self.busy_us_by_class), self._inflight)
-        self._queues[queue if queue is not None else priority].append(op)
-        self._dispatch_next()
+        if self._serving is None and not self._waiting:
+            # Idle with nothing waiting: appending and dispatching would
+            # pick this op anyway.
+            self._start(op)
+            return
+        # Otherwise enqueue, then dispatch: a submission arriving while
+        # the resource is momentarily idle (from a completion callback
+        # that chains background work) must not jump ahead of
+        # higher-priority operations already waiting.
+        self._queues[op.klass if queue is None else queue].append(op)
+        self._waiting += 1
+        if self._serving is None:
+            self._dispatch_next()
 
     def enable_wait_profile(self) -> None:
         """Turn on the wait-class breakdown for subsequent submissions."""
         self.profile_waits = True
 
-    def _start(self, op: _PendingOp) -> None:
-        self._busy = True
+    def _start(self, op: QueuedOp) -> None:
         start = self.engine.now
-        end = start + op.duration
-        self.busy_us += op.duration
-        self._ops_served[op.klass] += 1
-        self._wait_us[op.klass] += start - op.enqueued_us
+        duration = op.duration
+        klass = op.klass
+        end = start + duration
+        self._serving = op
+        self._serving_start = start
+        self.busy_us += duration
+        self._ops_served[klass] += 1
+        self._wait_us[klass] += start - op.enqueued_us
         if op.snapshot is not None:
             # While this op waited the resource was continuously busy, so
             # its wait tiles exactly into (a) the remainder of the op in
@@ -180,30 +207,33 @@ class Resource:
             # integral since the snapshot, because integrals are credited
             # here, at service start.
             base, inflight = op.snapshot
+            op.snapshot = None
             if start > op.enqueued_us:
                 if inflight is not None:
                     served_by, served_end = inflight
-                    self._wait_inflight[op.klass][served_by] += max(
+                    self._wait_inflight[klass][served_by] += max(
                         0.0, min(served_end, start) - op.enqueued_us
                     )
-                behind = self._wait_behind[op.klass]
+                behind = self._wait_behind[klass]
                 for k in IoPriority:
                     behind[k] += self.busy_us_by_class[k] - base[k]
-        self.busy_us_by_class[op.klass] += op.duration
-        self._inflight = (op.klass, end)
+        self.busy_us_by_class[klass] += duration
+        self._inflight = (klass, end)
+        # A fresh bound method per start: caching it on ``self`` would
+        # make the resource reference itself.
+        self.engine.at(end, self._finish)
 
-        def finish() -> None:
-            self._busy = False
-            op.on_done(start, end)
+    def _finish(self) -> None:
+        op = self._serving
+        self._serving = None
+        op.resource_done(self._serving_start, self.engine.now)
+        if self._waiting and self._serving is None:
             self._dispatch_next()
 
-        self.engine.at(end, finish)
-
     def _dispatch_next(self) -> None:
-        if self._busy:
-            return
         for queue in self._queues:
             if queue:
+                self._waiting -= 1
                 self._start(queue.popleft())
                 return
 

@@ -26,7 +26,7 @@ resources either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
 from typing import Iterable
 
 import numpy as np
@@ -59,14 +59,49 @@ from .scheduler import HostRequest, OutstandingRequest
 __all__ = ["SsdSimulator"]
 
 
-@dataclass
-class _NullCompletion:
-    """Completion sink for internal (GC / refresh) operations."""
+class _InternalChain:
+    """One background process working through its ops in order.
 
-    count: int = 0
+    Only the pipeline of the op in flight, or the pending gap event of a
+    throttled chain, refers to the chain (through a bound method), so a
+    finished chain, its ``PhysOp``s included, is freed by reference
+    counting.
+    """
 
-    def __call__(self, start_us: float, end_us: float) -> None:
-        self.count += 1
+    __slots__ = ("sim", "ops", "gap_us", "adjusting")
+
+    def __init__(self, sim: "SsdSimulator", ops: list[PhysOp], gap_us: float) -> None:
+        self.sim = sim
+        self.ops = deque(ops)
+        self.gap_us = gap_us
+        #: The clean (unfaulted) ADJUST in flight, committed on completion.
+        self.adjusting: PhysOp | None = None
+
+    def issue_next(self) -> None:
+        if self.ops:
+            op = self.ops.popleft()
+            faulted = self.sim._issue(op, IoPriority.INTERNAL, self.op_done)
+            if op.kind is OpKind.ADJUST and faulted is None:
+                self.adjusting = op
+
+    def op_done(self, start_us: float, end_us: float) -> None:
+        if self.adjusting is not None:
+            # Clean adjust completions write their on-flash commit
+            # record and retire any torn-recovery journal intent.  This
+            # runs with or without a fault plan: the SPOR journal
+            # columns are always maintained, so a crash-free run leaves
+            # no stale intents behind for a later mount to misread.  (A
+            # faulted adjust is resolved by the injector's recovery.)
+            op, self.adjusting = self.adjusting, None
+            self.sim.ftl.commit_adjust(op.block_index, op.wordline)
+        # With no gap the next op issues synchronously inside the
+        # completion callback — same event ordering as a direct chain.
+        if not self.ops:
+            return
+        if self.gap_us > 0.0:
+            self.sim.engine.after(self.gap_us, self.issue_next)
+        else:
+            self.issue_next()
 
 
 class SsdSimulator:
@@ -176,22 +211,21 @@ class SsdSimulator:
         #: data from any request acknowledged before a power cut must
         #: survive the remount.  ``None`` costs one check per completion.
         self.on_host_request_complete = None
-        self._internal_sink = _NullCompletion()
-        self._planner = StagePlanner(timing)
         # The policy's class -> queue mapping is static; resolve it once
         # instead of per dispatched op.
         self._queue_of = tuple(self.policy.queue_class(k) for k in IoPriority)
-        # Routing is static: block -> plane -> (die, channel).  One table
-        # lookup per op replaces three geometry computations on the hot
-        # path.
-        self._plane_routes = [
-            (
-                geometry.die_of_plane(plane),
-                self.dies[geometry.die_of_plane(plane)],
-                self.channels[geometry.channel_of_plane(plane)],
-            )
-            for plane in range(geometry.total_planes)
-        ]
+        # Routing is static: block -> plane -> the stage tuples of its
+        # die and channel.  One division and one table lookup per op
+        # replace the geometry computations and stage-cache keys.
+        self._blocks_per_plane = geometry.blocks_per_plane
+        self._plane_stages: list[StagePlanner] = []
+        planners: dict[int, StagePlanner] = {}
+        for plane in range(geometry.total_planes):
+            die = geometry.die_of_plane(plane)
+            if die not in planners:
+                channel = self.channels[geometry.channel_of_plane(plane)]
+                planners[die] = StagePlanner(self.dies[die], channel, timing)
+            self._plane_stages.append(planners[die])
         if self.collector is not None:
             self.collector.bind(self.engine, self.dies, self.channels)
             # Utilization/queue-depth timelines ride the collector's
@@ -378,25 +412,8 @@ class SsdSimulator:
         throttling policy additionally inserts an idle gap between the
         chained ops.
         """
-        if not ops:
-            return
-        remaining = list(ops)
-        gap_us = self.policy.internal_gap_us
-
-        def issue_next(start_us: float = 0.0, end_us: float = 0.0) -> None:
-            if not remaining:
-                return
-            op = remaining.pop(0)
-            self._issue(op, IoPriority.INTERNAL, chain)
-
-        def throttled_chain(start_us: float, end_us: float) -> None:
-            if remaining:
-                self.engine.after(gap_us, issue_next)
-
-        # With no gap the next op issues synchronously inside the
-        # completion callback — same event ordering as a direct chain.
-        chain = throttled_chain if gap_us > 0.0 else issue_next
-        issue_next()
+        if ops:
+            _InternalChain(self, ops, self.policy.internal_gap_us).issue_next()
 
     def _issue(
         self,
@@ -405,18 +422,22 @@ class SsdSimulator:
         on_done,
         span: RequestSpan | None = None,
         prof_ctx=None,
-    ) -> None:
-        """Route one physical op into its stage pipeline."""
-        die_index, die, channel = self._plane_routes[
-            self.geometry.plane_of_block(op.block_index)
-        ]
+    ):
+        """Route one physical op into its stage pipeline.
+
+        Returns the fault context a bound plan attached to the op, or
+        ``None``.  ADJUST ops arrive only through internal chains, which
+        commit the clean ones on completion.
+        """
+        planner = self._plane_stages[op.block_index // self._blocks_per_plane]
         fault = (
             self.faults.on_dispatch(op, klass is IoPriority.HOST_READ)
             if self.faults is not None
             else None
         )
         retries = 0
-        if op.kind is OpKind.READ:
+        kind = op.kind
+        if kind is OpKind.READ:
             # Retention-induced read retries hit long-stored data, i.e.
             # host reads.  Refresh-internal reads either target data
             # about to be rewritten anyway or verify *freshly
@@ -439,15 +460,15 @@ class SsdSimulator:
                         self._retry_counter.inc(retries)
                     if self.faults is not None:
                         self.faults.note_read_retries(op, retries)
-            stages = self._planner.read(die_index, die, channel, op.senses, 1 + retries)
-        elif op.kind is OpKind.WRITE:
-            stages = self._planner.write(die_index, die, channel)
-        elif op.kind is OpKind.ADJUST:
-            stages = self._planner.adjust(die_index, die)
-        elif op.kind is OpKind.ERASE:
-            stages = self._planner.erase(die_index, die)
+            stages = planner.read(op.senses, 1 + retries)
+        elif kind is OpKind.WRITE:
+            stages = planner.write
+        elif kind is OpKind.ADJUST:
+            stages = planner.adjust
+        elif kind is OpKind.ERASE:
+            stages = planner.erase
         else:  # pragma: no cover - exhaustive enum
-            raise ValueError(f"unknown op kind {op.kind}")
+            raise ValueError(f"unknown op kind {kind}")
         self.ops_dispatched += 1
         record = None
         if span is not None:
@@ -465,33 +486,18 @@ class SsdSimulator:
         )
         if fault is not None:
             on_done = self.faults.wrap_completion(fault, on_done)
-        elif op.kind is OpKind.ADJUST:
-            # Clean adjust completions write their on-flash commit
-            # record and retire any torn-recovery journal intent.  This
-            # runs with or without a fault plan: the SPOR journal
-            # columns are always maintained, so a crash-free run leaves
-            # no stale intents behind for a later mount to misread.
-            on_done = self._wrap_adjust_commit(op, on_done)
         OpPipeline(
             self.engine,
             stages,
             klass,
             self._queue_of[klass],
             on_done,
-            span=span,
-            record=record,
-            profile=profile,
-            fault=fault,
+            span,
+            record,
+            profile,
+            fault,
         ).start()
-
-    def _wrap_adjust_commit(self, op: PhysOp, inner):
-        """Completion callback committing a clean adjust durably."""
-
-        def completion(start_us: float, end_us: float) -> None:
-            self.ftl.commit_adjust(op.block_index, op.wordline)
-            inner(start_us, end_us)
-
-        return completion
+        return fault
 
     # ------------------------------------------------------------------
     # Bookkeeping

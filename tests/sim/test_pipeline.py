@@ -71,22 +71,23 @@ class TestStageBuilders:
 
 class TestStagePlanner:
     def test_caches_identical_read_shapes(self, engine, timing):
-        planner = StagePlanner(timing)
         die = Resource(engine, "die")
         chan = Resource(engine, "chan")
-        first = planner.read(0, die, chan, senses=2, passes=1)
-        again = planner.read(0, die, chan, senses=2, passes=1)
+        planner = StagePlanner(die, chan, timing)
+        first = planner.read(senses=2, passes=1)
+        again = planner.read(senses=2, passes=1)
         assert first is again
-        other = planner.read(0, die, chan, senses=2, passes=2)
+        assert first == read_stages(die, chan, timing, senses=2, passes=1)
+        other = planner.read(senses=2, passes=2)
         assert other is not first
 
     def test_caches_fixed_ops_per_die(self, engine, timing):
-        planner = StagePlanner(timing)
         die = Resource(engine, "die")
         chan = Resource(engine, "chan")
-        assert planner.write(0, die, chan) is planner.write(0, die, chan)
-        assert planner.erase(0, die) is planner.erase(0, die)
-        assert planner.adjust(0, die) is planner.adjust(0, die)
+        planner = StagePlanner(die, chan, timing)
+        assert planner.write == write_stages(die, chan, timing)
+        assert planner.erase == erase_stages(die, timing)
+        assert planner.adjust == adjust_stages(die, timing)
 
 
 class TestOpPipeline:

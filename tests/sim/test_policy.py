@@ -15,6 +15,8 @@ from repro.sim.policy import (
 )
 from repro.sim.resources import IoPriority, Resource
 
+from .jobs import submit
+
 
 class TestRegistry:
     def test_registry_names_match_instances(self):
@@ -72,16 +74,16 @@ class TestFcfsOrderingOnResource:
         order: list[str] = []
 
         def busy() -> None:
-            die.submit(IoPriority.INTERNAL, 10.0, lambda s, e: order.append("busy"),
-                       queue=policy.queue_class(IoPriority.INTERNAL))
+            submit(die, IoPriority.INTERNAL, 10.0, lambda s, e: order.append("busy"),
+                   queue=policy.queue_class(IoPriority.INTERNAL))
 
         def internal() -> None:
-            die.submit(IoPriority.INTERNAL, 5.0, lambda s, e: order.append("internal"),
-                       queue=policy.queue_class(IoPriority.INTERNAL))
+            submit(die, IoPriority.INTERNAL, 5.0, lambda s, e: order.append("internal"),
+                   queue=policy.queue_class(IoPriority.INTERNAL))
 
         def read() -> None:
-            die.submit(IoPriority.HOST_READ, 1.0, lambda s, e: order.append("read"),
-                       queue=policy.queue_class(IoPriority.HOST_READ))
+            submit(die, IoPriority.HOST_READ, 1.0, lambda s, e: order.append("read"),
+                   queue=policy.queue_class(IoPriority.HOST_READ))
 
         engine.at(0.0, busy)
         engine.at(1.0, internal)
@@ -97,16 +99,16 @@ class TestFcfsOrderingOnResource:
         policy = ReadFirstPolicy()
         order: list[str] = []
 
-        def submit(klass: IoPriority, duration: float, label: str):
+        def submit_later(klass: IoPriority, duration: float, label: str):
             def doit() -> None:
-                die.submit(klass, duration, lambda s, e: order.append(label),
-                           queue=policy.queue_class(klass))
+                submit(die, klass, duration, lambda s, e: order.append(label),
+                       queue=policy.queue_class(klass))
 
             return doit
 
-        engine.at(0.0, submit(IoPriority.INTERNAL, 10.0, "busy"))
-        engine.at(1.0, submit(IoPriority.INTERNAL, 5.0, "internal"))
-        engine.at(2.0, submit(IoPriority.HOST_READ, 1.0, "read"))
+        engine.at(0.0, submit_later(IoPriority.INTERNAL, 10.0, "busy"))
+        engine.at(1.0, submit_later(IoPriority.INTERNAL, 5.0, "internal"))
+        engine.at(2.0, submit_later(IoPriority.HOST_READ, 1.0, "read"))
         engine.run()
         assert order == ["busy", "read", "internal"]
 
@@ -116,10 +118,10 @@ class TestFcfsOrderingOnResource:
         engine = SimEngine()
         die = Resource(engine, "die")
         policy = FcfsPolicy()
-        die.submit(IoPriority.INTERNAL, 10.0, lambda s, e: None,
-                   queue=policy.queue_class(IoPriority.INTERNAL))
-        die.submit(IoPriority.HOST_READ, 1.0, lambda s, e: None,
-                   queue=policy.queue_class(IoPriority.HOST_READ))
+        submit(die, IoPriority.INTERNAL, 10.0, lambda s, e: None,
+               queue=policy.queue_class(IoPriority.INTERNAL))
+        submit(die, IoPriority.HOST_READ, 1.0, lambda s, e: None,
+               queue=policy.queue_class(IoPriority.HOST_READ))
         engine.run()
         stats = die.queue_wait_stats()
         assert stats["internal"]["ops"] == 1

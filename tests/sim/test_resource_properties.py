@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.engine import SimEngine
 from repro.sim.resources import IoPriority, Resource
 
+from .jobs import submit
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -28,8 +30,8 @@ def test_service_intervals_never_overlap(ops):
     for priority, duration, submit_at in ops:
         engine.at(
             submit_at,
-            lambda p=priority, d=duration: resource.submit(
-                p, d, lambda s, e: spans.append((s, e))
+            lambda p=priority, d=duration: submit(
+                resource, p, d, lambda s, e: spans.append((s, e))
             ),
         )
     engine.run()
@@ -56,7 +58,7 @@ def test_work_is_conserved(ops):
     resource = Resource(engine, "r")
     done = []
     for priority, duration in ops:
-        resource.submit(priority, duration, lambda s, e: done.append(e - s))
+        submit(resource, priority, duration, lambda s, e: done.append(e - s))
     engine.run()
     assert len(done) == len(ops)
     assert abs(sum(done) - sum(d for _, d in ops)) < 1e-6
@@ -74,11 +76,11 @@ def test_reads_never_wait_behind_queued_internal_ops(n_reads, n_internal):
     engine = SimEngine()
     resource = Resource(engine, "r")
     order: list[str] = []
-    resource.submit(IoPriority.INTERNAL, 5.0, lambda s, e: order.append("head"))
+    submit(resource, IoPriority.INTERNAL, 5.0, lambda s, e: order.append("head"))
     for _ in range(n_internal):
-        resource.submit(IoPriority.INTERNAL, 5.0, lambda s, e: order.append("i"))
+        submit(resource, IoPriority.INTERNAL, 5.0, lambda s, e: order.append("i"))
     for _ in range(n_reads):
-        resource.submit(IoPriority.HOST_READ, 5.0, lambda s, e: order.append("r"))
+        submit(resource, IoPriority.HOST_READ, 5.0, lambda s, e: order.append("r"))
     engine.run()
     assert order[0] == "head"
     reads_done = order[1 : 1 + n_reads]

@@ -7,6 +7,8 @@ import pytest
 from repro.sim.engine import SimEngine
 from repro.sim.resources import IoPriority, Resource
 
+from .jobs import submit
+
 
 @pytest.fixture
 def engine():
@@ -21,49 +23,49 @@ def resource(engine):
 class TestFcfs:
     def test_single_op_timing(self, engine, resource):
         spans = []
-        resource.submit(IoPriority.HOST_READ, 100.0, lambda s, e: spans.append((s, e)))
+        submit(resource, IoPriority.HOST_READ, 100.0, lambda s, e: spans.append((s, e)))
         engine.run()
         assert spans == [(0.0, 100.0)]
 
     def test_serial_service(self, engine, resource):
         spans = []
         for _ in range(3):
-            resource.submit(
-                IoPriority.HOST_READ, 50.0, lambda s, e: spans.append((s, e))
+            submit(
+                resource, IoPriority.HOST_READ, 50.0, lambda s, e: spans.append((s, e))
             )
         engine.run()
         assert spans == [(0.0, 50.0), (50.0, 100.0), (100.0, 150.0)]
 
     def test_busy_accounting(self, engine, resource):
-        resource.submit(IoPriority.HOST_READ, 30.0, lambda s, e: None)
-        resource.submit(IoPriority.HOST_READ, 70.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 30.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 70.0, lambda s, e: None)
         engine.run()
         assert resource.busy_us == 100.0
         assert resource.utilisation(200.0) == 0.5
 
     def test_negative_duration_rejected(self, resource):
         with pytest.raises(ValueError):
-            resource.submit(IoPriority.HOST_READ, -1.0, lambda s, e: None)
+            submit(resource, IoPriority.HOST_READ, -1.0, lambda s, e: None)
 
 
 class TestReadFirstScheduling:
     def test_queued_reads_overtake_queued_writes(self, engine, resource):
         order = []
         # Occupy the resource, then queue a write before a read.
-        resource.submit(IoPriority.INTERNAL, 10.0, lambda s, e: order.append("internal"))
-        resource.submit(IoPriority.HOST_WRITE, 10.0, lambda s, e: order.append("write"))
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: order.append("read"))
+        submit(resource, IoPriority.INTERNAL, 10.0, lambda s, e: order.append("internal"))
+        submit(resource, IoPriority.HOST_WRITE, 10.0, lambda s, e: order.append("write"))
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: order.append("read"))
         engine.run()
         assert order == ["internal", "read", "write"]
 
     def test_service_is_non_preemptive(self, engine, resource):
         # A long internal op in service is never interrupted by a read.
         spans = {}
-        resource.submit(
-            IoPriority.INTERNAL, 1000.0, lambda s, e: spans.setdefault("internal", (s, e))
+        submit(
+            resource, IoPriority.INTERNAL, 1000.0, lambda s, e: spans.setdefault("internal", (s, e))
         )
-        engine.at(5.0, lambda: resource.submit(
-            IoPriority.HOST_READ, 10.0, lambda s, e: spans.setdefault("read", (s, e))
+        engine.at(5.0, lambda: submit(
+            resource, IoPriority.HOST_READ, 10.0, lambda s, e: spans.setdefault("read", (s, e))
         ))
         engine.run()
         assert spans["internal"] == (0.0, 1000.0)
@@ -71,7 +73,7 @@ class TestReadFirstScheduling:
 
     def test_priority_classes_drain_in_order(self, engine, resource):
         order = []
-        resource.submit(IoPriority.INTERNAL, 1.0, lambda s, e: order.append("head"))
+        submit(resource, IoPriority.INTERNAL, 1.0, lambda s, e: order.append("head"))
         for label, prio in [
             ("i1", IoPriority.INTERNAL),
             ("w1", IoPriority.HOST_WRITE),
@@ -79,13 +81,40 @@ class TestReadFirstScheduling:
             ("i2", IoPriority.INTERNAL),
             ("r2", IoPriority.HOST_READ),
         ]:
-            resource.submit(prio, 1.0, lambda s, e, label=label: order.append(label))
+            submit(resource, prio, 1.0, lambda s, e, label=label: order.append(label))
         engine.run()
         assert order == ["head", "r1", "r2", "w1", "i1", "i2"]
 
+    def test_completion_submission_does_not_jump_waiting_ops(
+        self, engine, resource
+    ):
+        # The resource is idle while a completion callback runs; work the
+        # callback chains must still queue behind a waiting read.
+        order = []
+
+        def head_done(s, e):
+            order.append("head")
+            submit(resource, IoPriority.INTERNAL, 1.0, lambda s, e: order.append("chained"))
+
+        submit(resource, IoPriority.INTERNAL, 1.0, head_done)
+        submit(resource, IoPriority.HOST_READ, 1.0, lambda s, e: order.append("read"))
+        engine.run()
+        assert order == ["head", "read", "chained"]
+
+    def test_idle_submission_starts_at_once(self, engine, resource):
+        spans = []
+        engine.at(5.0, lambda: submit(
+            resource, IoPriority.INTERNAL, 2.0, lambda s, e: spans.append((s, e))
+        ))
+        engine.run()
+        assert spans == [(5.0, 7.0)]
+        assert resource.queue_wait_stats()["internal"] == {
+            "ops": 1, "total_wait_us": 0.0, "mean_wait_us": 0.0,
+        }
+
     def test_queued_count(self, engine, resource):
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
         assert resource.queued == 1
         assert resource.is_busy
         engine.run()
@@ -103,7 +132,7 @@ class TestQueueWaitStats:
 
     def test_back_to_back_reads_accumulate_wait(self, engine, resource):
         for _ in range(3):
-            resource.submit(IoPriority.HOST_READ, 50.0, lambda s, e: None)
+            submit(resource, IoPriority.HOST_READ, 50.0, lambda s, e: None)
         engine.run()
         reads = resource.queue_wait_stats()["host_read"]
         # First starts at 0, second waits 50, third waits 100.
@@ -112,9 +141,9 @@ class TestQueueWaitStats:
         assert reads["mean_wait_us"] == 50.0
 
     def test_wait_attributed_to_each_priority(self, engine, resource):
-        resource.submit(IoPriority.INTERNAL, 100.0, lambda s, e: None)
-        resource.submit(IoPriority.HOST_WRITE, 10.0, lambda s, e: None)
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.INTERNAL, 100.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_WRITE, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
         engine.run()
         stats = resource.queue_wait_stats()
         assert stats["internal"]["total_wait_us"] == 0.0
@@ -122,8 +151,8 @@ class TestQueueWaitStats:
         assert stats["host_write"]["total_wait_us"] == 110.0  # behind both
 
     def test_only_served_ops_counted(self, engine, resource):
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
         # Before the engine runs, only the first dispatched immediately.
         assert resource.queue_wait_stats()["host_read"]["ops"] == 1
 
@@ -141,8 +170,8 @@ class TestWaitClassBreakdown:
 
     @staticmethod
     def submit_via(resource, policy, klass, duration):
-        resource.submit(klass, duration, lambda s, e: None,
-                        queue=policy.queue_class(klass))
+        submit(resource, klass, duration, lambda s, e: None,
+               queue=policy.queue_class(klass))
 
     @staticmethod
     def total_wait(breakdown, waiter):
@@ -152,8 +181,8 @@ class TestWaitClassBreakdown:
         )
 
     def test_disabled_by_default(self, engine, resource):
-        resource.submit(IoPriority.HOST_WRITE, 100.0, lambda s, e: None)
-        resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_WRITE, 100.0, lambda s, e: None)
+        submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
         engine.run()
         breakdown = resource.wait_class_breakdown()
         assert self.total_wait(breakdown, "host_read") == 0.0
@@ -248,8 +277,8 @@ class TestWaitClassBreakdown:
         second = Resource(engine, "die1", kind="die", index=1)
         for resource in (first, second):
             resource.enable_wait_profile()
-            resource.submit(IoPriority.HOST_WRITE, 100.0, lambda s, e: None)
-            resource.submit(IoPriority.HOST_READ, 10.0, lambda s, e: None)
+            submit(resource, IoPriority.HOST_WRITE, 100.0, lambda s, e: None)
+            submit(resource, IoPriority.HOST_READ, 10.0, lambda s, e: None)
         engine.run()
         merged = aggregate_wait_breakdown([first, second])
         # Each die exposed its read to a 100 us in-flight write.
